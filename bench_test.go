@@ -144,35 +144,18 @@ func BenchmarkAblationSync(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStepCache regenerates the §5.5-style check-cache
-// comparison on a re-read-heavy kernel (helps) and a streaming kernel
-// (hurts).
-func BenchmarkAblationStepCache(b *testing.B) {
-	for _, name := range []string{"RayTracer", "Sparse"} {
-		bm, err := bench.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tool := range []harness.Tool{harness.SPD3, harness.SPD3Cache} {
-			b.Run(name+"/"+string(tool), func(b *testing.B) {
-				cell(b, bm, tool, 4, false)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationDMHP regenerates the DMHP fast-path comparison on the
 // two monitoring-heavy kernels the ablation experiment highlights:
-// pointer-walk SPD3 vs packed fingerprints vs fingerprints plus the
-// per-task relation memo. The spd3-nostats cell isolates the cost of the
-// observability counters (the Options.NoStats ablation).
+// pointer-walk SPD3 vs packed fingerprints plus the per-task relation
+// memo. The spd3-nostats cell isolates the cost of the observability
+// counters.
 func BenchmarkAblationDMHP(b *testing.B) {
 	for _, name := range []string{"SOR", "LUFact"} {
 		bm, err := bench.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, tool := range []harness.Tool{harness.SPD3Walk, harness.SPD3FP, harness.SPD3, harness.SPD3NoStats} {
+		for _, tool := range []harness.Tool{harness.SPD3Walk, harness.SPD3, harness.SPD3NoStats} {
 			b.Run(name+"/"+string(tool), func(b *testing.B) {
 				cell(b, bm, tool, 4, false)
 			})

@@ -23,8 +23,8 @@
 //	curl -fsS --data-binary @sor.trc 'http://127.0.0.1:7331/v1/analyze?detector=all'
 //
 // Detectors come from the detect registry (see -detector's usage string
-// for the current list); hidden ablation variants such as spd3-walk are
-// accepted by name as well.
+// for the current list); the hidden variant spd3-walk (DMHP by the §5.2
+// pointer walk, the reference configuration) is accepted by name as well.
 package main
 
 import (

@@ -9,10 +9,7 @@ import "spd3/internal/detect"
 func init() {
 	detect.Register("spd3", factory(Options{Sync: SyncCAS}))
 	detect.Register("spd3-mutex", factory(Options{Sync: SyncMutex}))
-	detect.RegisterVariant("spd3-stepcache", factory(Options{Sync: SyncCAS, StepCache: true}))
-	detect.RegisterVariant("spd3-walk", factory(Options{Sync: SyncCAS, NoFingerprint: true, NoDMHPMemo: true}))
-	detect.RegisterVariant("spd3-fp", factory(Options{Sync: SyncCAS, NoDMHPMemo: true}))
-	detect.RegisterVariant("spd3-flat", factory(Options{Sync: SyncCAS, FlatShadow: true}))
+	detect.RegisterVariant("spd3-walk", factory(Options{Sync: SyncCAS, WalkDMHP: true}))
 }
 
 func factory(o Options) detect.Factory {

@@ -29,23 +29,12 @@ import (
 // Note the counter roles: an updater bumps end first and start last, so a
 // torn snapshot always fails the end != x comparison.
 // Shadow words live in lazily allocated pages (shadow.Pages) resolved
-// through the accessing task's page cache; the flat ablation
-// (Options.FlatShadow) restores the eager flat array for comparison.
+// through the accessing task's page cache.
 type casShadow struct {
 	d     *Detector
 	id    uint64
 	name  string
-	pages *shadow.Pages[casCell] // nil under the flat ablation
-	flat  []casCell              // non-nil iff Options.FlatShadow
-}
-
-// cell resolves element i's shadow word: through the task's page cache
-// on the paged backend, a plain index on the flat ablation.
-func (s *casShadow) cell(t *detect.Task, i int) *casCell {
-	if s.flat != nil {
-		return &s.flat[i]
-	}
-	return s.pages.CellOf(&t.PC, i)
+	pages *shadow.Pages[casCell]
 }
 
 // casCell is one versioned shadow word.
@@ -93,12 +82,6 @@ func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, false) {
-			ts.nStepCache++
-			return
-		}
-	}
 	if sp := s.d.smp; sp != nil {
 		if !sp.Admit(&ts.smp, s.id, i) {
 			ts.smp.Skipped++
@@ -106,7 +89,7 @@ func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		}
 		ts.smp.Checked++
 	}
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	var retries int64
 	for {
 		x, m := c.snapshot()
@@ -125,9 +108,6 @@ func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		ts.nCASRetry += retries
 		ts.retryBuckets[stats.HistBucket(retries)]++
 	}
-	if s.d.stepCache {
-		ts.remember(s.id, i, false)
-	}
 }
 
 // WriteAt implements detect.SiteShadow.
@@ -136,12 +116,6 @@ func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, true) {
-			ts.nStepCache++
-			return
-		}
-	}
 	if sp := s.d.smp; sp != nil {
 		if !sp.Admit(&ts.smp, s.id, i) {
 			ts.smp.Skipped++
@@ -149,7 +123,7 @@ func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		}
 		ts.smp.Checked++
 	}
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	var retries int64
 	for {
 		x, m := c.snapshot()
@@ -167,9 +141,6 @@ func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 	if retries > 0 {
 		ts.nCASRetry += retries
 		ts.retryBuckets[stats.HistBucket(retries)]++
-	}
-	if s.d.stepCache {
-		ts.remember(s.id, i, true)
 	}
 }
 

@@ -63,28 +63,12 @@ func (m SyncMode) String() string {
 type Options struct {
 	// Sync selects the shadow-word synchronization protocol.
 	Sync SyncMode
-	// StepCache enables the per-step redundant-check cache (see
-	// taskState.cache), a dynamic variant of the optimizations the
-	// paper defers to future work (§5.5). It helps kernels that
-	// re-read the same locations many times within a step (RayTracer's
-	// scene) and adds overhead to kernels that stream distinct indices
-	// — measure with the ablation-stepcache experiment; off by
-	// default.
-	StepCache bool
-	// NoFingerprint forces every DMHP/LCA query through the §5.2
-	// pointer walk, disabling the packed-fingerprint fast path. On by
-	// default (i.e. fingerprints are used); disable only for the
-	// ablation-dmhp experiment and differential tests.
-	NoFingerprint bool
-	// NoDMHPMemo disables the per-task DMHP relation cache (see
-	// taskState.mhp). On by default; disable for ablation.
-	NoDMHPMemo bool
-	// FlatShadow restores the pre-paging layout: one eagerly allocated
-	// flat cell array per region, no page table, no page cache. It
-	// exists for the flat-vs-paged ablation (the spd3-flat variant and
-	// BenchmarkShadowSparse) and for differential testing; flat shadows
-	// cannot serve growable regions (NewShadow panics on one).
-	FlatShadow bool
+	// WalkDMHP answers every DMHP/LCA query with the §5.2 pointer
+	// walk, bypassing both the packed-fingerprint fast path and the
+	// per-task relation memo (taskState.mhp). It is the paper's
+	// reference configuration (the spd3-walk variant), used by the
+	// ablation-dmhp experiment and as a differential-test oracle.
+	WalkDMHP bool
 	// Stats is the engine's observability recorder; nil disables the
 	// detector's counters. The detector batches its counts in plain
 	// task-owned integers and flushes them into a shard once per task
@@ -92,8 +76,8 @@ type Options struct {
 	// non-atomic increment.
 	Stats *stats.Recorder
 	// Sampler, when enabled, gates each access's race check
-	// (internal/sample). The gate sits after the sink/step-cache
-	// short-circuits and before the shadow cell is even resolved, so a
+	// (internal/sample). The gate sits after the sink short-circuit
+	// and before the shadow cell is even resolved, so a
 	// sampled-out access costs one predictable branch plus (for burst
 	// mode) a cached per-task decision read. Nil or Off means every
 	// check runs — the default, byte-identical to the ungated detector.
@@ -103,15 +87,12 @@ type Options struct {
 // Detector is the SPD3 race detector. Create with New; wire into a
 // task.Runtime via Config.Detector.
 type Detector struct {
-	sink      *detect.Sink
-	tree      *dpst.Tree
-	mode      SyncMode
-	stepCache bool
-	walkOnly  bool // Options.NoFingerprint
-	memo      bool // !Options.NoDMHPMemo
-	flat      bool // Options.FlatShadow
-	st        *stats.Recorder
-	smp       *sample.Sampler // nil when sampling is off
+	sink *detect.Sink
+	tree *dpst.Tree
+	mode SyncMode
+	walk bool // Options.WalkDMHP
+	st   *stats.Recorder
+	smp  *sample.Sampler // nil when sampling is off
 
 	shadowIDs   detect.Counter
 	shadowBytes detect.Counter
@@ -126,14 +107,11 @@ func New(sink *detect.Sink, mode SyncMode) *Detector {
 // NewWith returns an SPD3 detector with explicit options.
 func NewWith(sink *detect.Sink, o Options) *Detector {
 	d := &Detector{
-		sink:      sink,
-		tree:      dpst.New(),
-		mode:      o.Sync,
-		stepCache: o.StepCache,
-		walkOnly:  o.NoFingerprint,
-		memo:      !o.NoDMHPMemo,
-		flat:      o.FlatShadow,
-		st:        o.Stats,
+		sink: sink,
+		tree: dpst.New(),
+		mode: o.Sync,
+		walk: o.WalkDMHP,
+		st:   o.Stats,
 	}
 	if o.Sampler.Enabled() {
 		d.smp = o.Sampler
@@ -166,19 +144,8 @@ func (d *Detector) RequiresSequential() bool { return false }
 // taskState is SPD3's per-task state: the task's current step and the
 // DPST node under which the task appends new children — the innermost
 // finish the task itself started, or else the task's own async node
-// (§3.1's insertion rules).
-//
-// cache is the dynamic analogue of the paper's §5.5 static check
-// eliminations (read/write check elimination, loop-invariant checks): a
-// small direct-mapped memo of (region, element) pairs this step has
-// already checked. Re-checking an element within the same step is
-// provably redundant — the first check either recorded the step in the
-// shadow word or established that the word's reader subtree already
-// covers it, so any future conflicting access is caught through the
-// recorded steps either way. Entries are tagged with the step node, so
-// advancing to a new step invalidates them for free. The cache is owned
-// by the task, needing no synchronization.
-// mhp additionally memoizes DMHP relations: see Detector.relation.
+// (§3.1's insertion rules). mhp memoizes DMHP relations: see
+// Detector.relation.
 //
 // The n* fields batch the detector's observability counters in plain
 // task-owned integers — no atomics, no sharing — and flush is called once
@@ -188,7 +155,6 @@ func (d *Detector) RequiresSequential() bool { return false }
 type taskState struct {
 	step  *dpst.Node
 	scope *dpst.Node
-	cache [stepCacheSize]cacheEntry
 	mhp   [mhpMemoSize]mhpEntry
 
 	// smp is the task's check-sampling state: the cached burst-window
@@ -205,7 +171,6 @@ type taskState struct {
 	nDMHPFast    int64
 	nDMHPWalk    int64
 	nDMHPMemoHit int64
-	nStepCache   int64
 	retryBuckets [stats.HistBuckets]int64
 }
 
@@ -222,47 +187,14 @@ func (ts *taskState) flush() {
 	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
 	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
 	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
-	ts.sh.Add(stats.StepCacheHit, ts.nStepCache)
 	ts.smp.Flush(ts.sh)
 	for b, n := range ts.retryBuckets {
 		ts.sh.AddBucket(stats.HistCASRetry, b, n)
 	}
 	ts.nCASClean, ts.nCASPublish, ts.nCASRetry = 0, 0, 0
-	ts.nMutexOps, ts.nStepCache = 0, 0
+	ts.nMutexOps = 0
 	ts.nDMHPFast, ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0, 0
 	ts.retryBuckets = [stats.HistBuckets]int64{}
-}
-
-const stepCacheSize = 32 // power of two
-
-type cacheEntry struct {
-	region uint64 // shadow id (1-based; 0 is "empty")
-	idx    int
-	step   *dpst.Node
-	wrote  bool
-}
-
-// cached reports whether this step already performed a check of (region,
-// element) that subsumes the requested access: any earlier check subsumes
-// a read; only an earlier write check subsumes a write.
-func (ts *taskState) cached(region uint64, idx int, write bool) bool {
-	e := &ts.cache[cacheSlot(region, idx)]
-	return e.region == region && e.idx == idx && e.step == ts.step && (e.wrote || !write)
-}
-
-// remember records a completed check.
-func (ts *taskState) remember(region uint64, idx int, write bool) {
-	e := &ts.cache[cacheSlot(region, idx)]
-	if e.region == region && e.idx == idx && e.step == ts.step {
-		e.wrote = e.wrote || write
-		return
-	}
-	*e = cacheEntry{region: region, idx: idx, step: ts.step, wrote: write}
-}
-
-func cacheSlot(region uint64, idx int) uint64 {
-	h := (region<<32 ^ uint64(uint32(idx))) * 0x9e3779b97f4a7c15
-	return h >> 59 // top 5 bits: stepCacheSize == 32
 }
 
 // mhpEntry is one slot of the per-task DMHP memo: the answer to
@@ -286,7 +218,7 @@ func mhpSlot(n *dpst.Node) uint64 {
 }
 
 // relation answers Relation(other, ts.step) through the per-task
-// direct-mapped memo (unless disabled). Memoization is sound because
+// direct-mapped memo. Memoization is sound because
 // every DPST node field the query reads is immutable after creation, so
 // the relation of a fixed node pair can never change; and it is
 // effective because recorded writer/reader steps recur across thousands
@@ -298,8 +230,9 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 	if other == nil || other == ts.step {
 		return false, -1
 	}
-	if !d.memo {
-		return d.rel(ts, other, ts.step)
+	if d.walk {
+		ts.nDMHPWalk++
+		return dpst.RelationWalk(other, ts.step)
 	}
 	e := &ts.mhp[mhpSlot(other)]
 	if e.other == other && e.step == ts.step {
@@ -311,11 +244,11 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 	return p, l
 }
 
-// rel dispatches one Relation query to the fingerprint fast path or,
-// under the walk-only ablation, the §5.2 pointer walk, attributing the
-// query to ts's fast/walk counters.
+// rel answers one Relation query through the fingerprint fast path or,
+// under WalkDMHP, the §5.2 pointer walk, attributing the query to ts's
+// fast/walk counters.
 func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if d.walkOnly {
+	if d.walk {
 		ts.nDMHPWalk++
 		return dpst.RelationWalk(a, b)
 	}
@@ -418,34 +351,17 @@ func (d *Detector) Footprint() detect.Footprint {
 
 // NewShadow builds the region's shadow: one word per element, held in
 // lazily allocated pages (shadow.Pages), so a sparsely touched region
-// pays only for the pages it touches. Under Options.FlatShadow the
-// pre-paging eager flat array is restored for ablation; flat shadows
-// reject growable regions.
+// pays only for the pages it touches.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
 	id := uint64(d.shadowIDs.Add(1))
-	if d.flat && spec.Growable {
-		panic("core: FlatShadow cannot serve growable region " + spec.Name)
-	}
 	switch d.mode {
 	case SyncMutex:
-		s := &mutexShadow{d: d, id: id, name: spec.Name}
-		if d.flat {
-			s.flat = make([]mutexCell, spec.Len)
-			d.shadowBytes.Add(int64(spec.Len) * mutexCellBytes)
-		} else {
-			s.pages = shadow.New[mutexCell](spec.Bound())
-			s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
-		}
+		s := &mutexShadow{d: d, id: id, name: spec.Name, pages: shadow.New[mutexCell](spec.Bound())}
+		s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
 		return s
 	default:
-		s := &casShadow{d: d, id: id, name: spec.Name}
-		if d.flat {
-			s.flat = make([]casCell, spec.Len)
-			d.shadowBytes.Add(int64(spec.Len) * casCellBytes)
-		} else {
-			s.pages = shadow.New[casCell](spec.Bound())
-			s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
-		}
+		s := &casShadow{d: d, id: id, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
+		s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
 		return s
 	}
 }
@@ -576,17 +492,7 @@ type mutexShadow struct {
 	d     *Detector
 	id    uint64
 	name  string
-	pages *shadow.Pages[mutexCell] // nil under the flat ablation
-	flat  []mutexCell              // non-nil iff Options.FlatShadow
-}
-
-// cell resolves element i's shadow word: through the task's page cache
-// on the paged backend, a plain index on the flat ablation.
-func (s *mutexShadow) cell(t *detect.Task, i int) *mutexCell {
-	if s.flat != nil {
-		return &s.flat[i]
-	}
-	return s.pages.CellOf(&t.PC, i)
+	pages *shadow.Pages[mutexCell]
 }
 
 func (s *mutexShadow) Read(t *detect.Task, i int)  { s.ReadAt(t, i, 0) }
@@ -598,12 +504,6 @@ func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, false) {
-			ts.nStepCache++
-			return
-		}
-	}
 	if sp := s.d.smp; sp != nil {
 		if !sp.Admit(&ts.smp, s.id, i) {
 			ts.smp.Skipped++
@@ -612,15 +512,12 @@ func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		ts.smp.Checked++
 	}
 	ts.nMutexOps++
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()
 	if m, changed := s.d.readCheck(c.m, ts, s.name, i, site); changed {
 		c.m = m
 	}
 	c.mu.Unlock()
-	if s.d.stepCache {
-		ts.remember(s.id, i, false)
-	}
 }
 
 // WriteAt implements detect.SiteShadow.
@@ -629,12 +526,6 @@ func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if s.d.stepCache {
-		if ts.cached(s.id, i, true) {
-			ts.nStepCache++
-			return
-		}
-	}
 	if sp := s.d.smp; sp != nil {
 		if !sp.Admit(&ts.smp, s.id, i) {
 			ts.smp.Skipped++
@@ -643,15 +534,12 @@ func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		ts.smp.Checked++
 	}
 	ts.nMutexOps++
-	c := s.cell(t, i)
+	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()
 	if m, changed := s.d.writeCheck(c.m, ts, s.name, i, site); changed {
 		c.m = m
 	}
 	c.mu.Unlock()
-	if s.d.stepCache {
-		ts.remember(s.id, i, true)
-	}
 }
 
 func (s *mutexShadow) String() string { return fmt.Sprintf("spd3-mutex shadow %q", s.name) }

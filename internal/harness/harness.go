@@ -82,11 +82,8 @@ const (
 	Base        Tool = "base"
 	SPD3        Tool = "spd3" // fingerprint fast path + per-task DMHP memo (the default)
 	SPD3Lock    Tool = "spd3-mutex"
-	SPD3Cache   Tool = "spd3-stepcache"
-	SPD3Walk    Tool = "spd3-walk"    // DMHP via the §5.2 pointer walk only (ablation)
-	SPD3FP      Tool = "spd3-fp"      // fingerprints on, per-task memo off (ablation)
+	SPD3Walk    Tool = "spd3-walk"    // DMHP via the §5.2 pointer walk only (reference)
 	SPD3NoStats Tool = "spd3-nostats" // default SPD3 with the stats recorder disabled (ablation)
-	SPD3Flat    Tool = "spd3-flat"    // eager flat shadow instead of lazy pages (ablation)
 	ESPBags     Tool = "espbags"
 	FastTrack   Tool = "fasttrack"
 	Eraser      Tool = "eraser"
@@ -208,10 +205,9 @@ func Experiments() []Experiment {
 		{ID: "fig5", Title: "Figure 5: Crypt slowdown vs workers, all tools", Run: fig5},
 		{ID: "fig6", Title: "Figure 6: LUFact memory vs workers, all tools", Run: fig6},
 		{ID: "ablation-sync", Title: "§5.4 ablation: versioned-CAS vs per-word mutex", Run: ablationSync},
-		{ID: "ablation-stepcache", Title: "§5.5 ablation: per-step redundant-check cache", Run: ablationStepCache},
-		{ID: "ablation-dmhp", Title: "DMHP fast-path ablation: pointer walk vs fingerprints vs fingerprints+memo", Run: ablationDMHP},
+		{ID: "ablation-dmhp", Title: "DMHP fast-path ablation: pointer walk vs fingerprints+memo", Run: ablationDMHP},
 		{ID: "stats", Title: "Observability counters: per-benchmark SPD3 event profile", Run: statsTable},
-		{ID: "sparse", Title: "Sparse shadow: paged vs flat footprint on clustered touches", Run: sparseShadow},
+		{ID: "sparse", Title: "Sparse shadow: paged footprint on clustered touches", Run: sparseShadow},
 		{ID: "ablation-sample", Title: "Sampling ablation: overhead vs detection probability across modes and rates", Run: ablationSample},
 	}
 }
@@ -487,42 +483,12 @@ func ablationSync(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ablationStepCache measures the opt-in per-step check cache (the
-// dynamic variant of the §5.5 optimizations): time with cache divided by
-// time without, per benchmark (<1 means the cache wins; expected on
-// kernels that re-read locations within a step, e.g. RayTracer's scene).
-func ablationStepCache(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	n := cfg.maxThreads()
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation §5.5: per-step check cache, cached time / uncached time at %d workers (<1 means cache wins)", n),
-		Header: []string{"Benchmark", "Ratio"},
-	}
-	in := bench.Input{Scale: cfg.Scale}
-	var rs []float64
-	for _, b := range bench.All() {
-		plain, err := cfg.measure(b, SPD3, n, in)
-		if err != nil {
-			return nil, err
-		}
-		cached, err := cfg.measure(b, SPD3Cache, n, in)
-		if err != nil {
-			return nil, err
-		}
-		r := ratio(cached.Time, plain.Time)
-		rs = append(rs, r)
-		t.AddRow(b.Name, r)
-	}
-	t.AddRow("GeoMean", geoMean(rs))
-	return t, nil
-}
-
-// ablationDMHP isolates the two layers of the constant-time DMHP fast
-// path: SPD3 with the §5.2 pointer walk only, with the packed path
-// fingerprints, and with fingerprints plus the per-task relation memo
-// (the default). Unchunked variants at the maximum worker count — the
-// fine-grained regime where DMHP dominates the per-access cost.
-// Ratios below 1 mean the layer wins over the plain walk.
+// ablationDMHP prices the constant-time DMHP fast path: SPD3 with the
+// §5.2 pointer walk only against the default packed path fingerprints
+// plus the per-task relation memo. Unchunked variants at the maximum
+// worker count — the fine-grained regime where DMHP dominates the
+// per-access cost.
+// Ratios below 1 mean the fast path wins over the plain walk.
 func ablationDMHP(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.maxThreads()
@@ -532,17 +498,13 @@ func ablationDMHP(cfg Config) (*Table, error) {
 			"fingerprint: packed root-path digits answer DMHP/LCA-depth without a tree walk",
 			"+memo: per-task direct-mapped cache of relations against recorded steps",
 		},
-		Header: []string{"Benchmark", "Walk(s)", "Fingerprint", "Fingerprint+Memo", "NoStats"},
+		Header: []string{"Benchmark", "Walk(s)", "Fingerprint+Memo", "NoStats"},
 	}
 	t.Notes = append(t.Notes, "nostats: Fingerprint+Memo with the observability counters disabled (Options.NoStats)")
 	in := bench.Input{Scale: cfg.Scale}
-	var fps, memos, nostats []float64
+	var memos, nostats []float64
 	for _, b := range bench.All() {
 		walk, err := cfg.measure(b, SPD3Walk, n, in)
-		if err != nil {
-			return nil, err
-		}
-		fp, err := cfg.measure(b, SPD3FP, n, in)
 		if err != nil {
 			return nil, err
 		}
@@ -554,13 +516,12 @@ func ablationDMHP(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rf, rm, rn := ratio(fp.Time, walk.Time), ratio(full.Time, walk.Time), ratio(bare.Time, walk.Time)
-		fps = append(fps, rf)
+		rm, rn := ratio(full.Time, walk.Time), ratio(bare.Time, walk.Time)
 		memos = append(memos, rm)
 		nostats = append(nostats, rn)
-		t.AddRow(b.Name, fmt.Sprintf("%.3f", walk.Time.Seconds()), rf, rm, rn)
+		t.AddRow(b.Name, fmt.Sprintf("%.3f", walk.Time.Seconds()), rm, rn)
 	}
-	t.AddRow("GeoMean", "", geoMean(fps), geoMean(memos), geoMean(nostats))
+	t.AddRow("GeoMean", "", geoMean(memos), geoMean(nostats))
 	return t, nil
 }
 
@@ -611,20 +572,19 @@ func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
 
 // sparseShadow measures the tentpole claim of the paged shadow memory:
 // on a workload that touches ~1% of a large region in page-sized
-// clusters, the paged shadow's footprint tracks the touched pages while
-// the flat ablation (spd3-flat) pays for every declared element. Dense
-// benchmarks cost the same either way; this table shows the sparse gap
-// plus the page-allocation and page-cache counters.
+// clusters, the paged shadow's footprint tracks the touched pages, not
+// the declared elements. The table shows that footprint plus the
+// page-allocation and page-cache counters.
 func sparseShadow(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.maxThreads()
 	t := &Table{
-		Title:  fmt.Sprintf("Sparse shadow: paged vs flat on clustered 1%% touches at %d workers", n),
+		Title:  fmt.Sprintf("Sparse shadow: paged footprint on clustered 1%% touches at %d workers", n),
 		Header: []string{"Tool", "Time(s)", "Shadow MB", "Pages", "CacheHit", "CacheMiss"},
 	}
 	b := bench.SparseTouchBench()
 	in := bench.Input{Scale: cfg.Scale}
-	for _, tool := range []Tool{Base, SPD3, SPD3Flat} {
+	for _, tool := range []Tool{Base, SPD3} {
 		m, err := cfg.measure(b, tool, n, in)
 		if err != nil {
 			return nil, err

@@ -12,23 +12,22 @@ func tinyCfg() Config {
 	return Config{Scale: 0.08, Repeats: 1, Threads: []int{1, 2}}
 }
 
-// TestEveryExperimentRuns executes all nine experiments end to end at a
+// TestEveryExperimentRuns executes all twelve experiments end to end at a
 // tiny scale and sanity-checks their tables.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantTitle := map[string]string{
-		"table1":             "Table 1",
-		"fig3":               "Figure 3",
-		"fig4":               "Figure 4",
-		"table2":             "Table 2",
-		"table3":             "Table 3",
-		"fig5":               "Figure 5",
-		"fig6":               "Figure 6",
-		"ablation-sync":      "Ablation §5.4",
-		"ablation-stepcache": "Ablation §5.5",
-		"ablation-dmhp":      "Ablation: DMHP fast path",
-		"stats":              "Observability counters",
-		"sparse":             "Sparse shadow",
-		"ablation-sample":    "Sampling ablation",
+		"table1":          "Table 1",
+		"fig3":            "Figure 3",
+		"fig4":            "Figure 4",
+		"table2":          "Table 2",
+		"table3":          "Table 3",
+		"fig5":            "Figure 5",
+		"fig6":            "Figure 6",
+		"ablation-sync":   "Ablation §5.4",
+		"ablation-dmhp":   "Ablation: DMHP fast path",
+		"stats":           "Observability counters",
+		"sparse":          "Sparse shadow",
+		"ablation-sample": "Sampling ablation",
 	}
 	exps := Experiments()
 	if len(exps) != len(wantTitle) {

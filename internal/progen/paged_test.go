@@ -7,53 +7,66 @@ import (
 
 	"spd3/internal/core"
 	"spd3/internal/detect"
+	"spd3/internal/graph"
 	"spd3/internal/shadow"
 	"spd3/internal/task"
 )
 
-// raceSet runs p under an SPD3 configuration and returns the set of
-// (region, index, kind) triples it reported.
-func raceSet(t *testing.T, p *Program, opt core.Options) map[string]bool {
+// pagedAndOracle runs body twice on a fresh sequential runtime — once
+// under default SPD3 over its paged shadow, once under the graph oracle,
+// whose flat per-element access logs do not touch shadow.Pages — and
+// returns each side's set of racy (region, index) locations.
+func pagedAndOracle(t *testing.T, body func(rt *task.Runtime, det detect.Detector) error) (paged, oracle map[string]bool) {
 	t.Helper()
+	locs := func(races []detect.Race) map[string]bool {
+		set := map[string]bool{}
+		for _, r := range races {
+			set[fmt.Sprintf("%s[%d]", r.Region, r.Index)] = true
+		}
+		return set
+	}
+	run := func(det detect.Detector) {
+		rt, err := task.New(task.Config{Executor: task.Sequential, Detector: det})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := body(rt, det); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sink := detect.NewSink(false, 0)
-	d := core.NewWith(sink, opt)
-	rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Run(rt, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	set := map[string]bool{}
-	for _, r := range sink.Races() {
-		set[fmt.Sprintf("%s[%d]:%v", r.Region, r.Index, r.Kind)] = true
-	}
-	return set
+	run(core.NewWith(sink, core.Options{Sync: core.SyncCAS}))
+	o := graph.New()
+	run(o)
+	return locs(sink.Races()), locs(o.Races())
 }
 
-// TestPagedMatchesFlatOnPrograms is the paging differential quick-check:
-// the paged shadow and the flat ablation must report identical race sets
-// — the backing store is a pure representation change.
+// TestPagedMatchesFlatOnPrograms is the paging differential
+// quick-check: the paged shadow must flag exactly the racy locations the
+// oracle finds in its flat access logs — the backing store is a pure
+// representation change.
 func TestPagedMatchesFlatOnPrograms(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		p := Generate(seed, Config{})
-		paged := raceSet(t, p, core.Options{Sync: core.SyncCAS})
-		flat := raceSet(t, p, core.Options{Sync: core.SyncCAS, FlatShadow: true})
-		if len(paged) != len(flat) {
-			t.Fatalf("seed %d: paged %v != flat %v\n%s", seed, paged, flat, p)
+		paged, oracle := pagedAndOracle(t, func(rt *task.Runtime, _ detect.Detector) error {
+			return Run(rt, p, nil)
+		})
+		if len(paged) != len(oracle) {
+			t.Fatalf("seed %d: paged %v != oracle %v\n%s", seed, paged, oracle, p)
 		}
 		for k := range paged {
-			if !flat[k] {
+			if !oracle[k] {
 				t.Fatalf("seed %d: race %s reported by paged only\n%s", seed, k, p)
 			}
 		}
 	}
 }
 
-// TestPagedFlatAgreeAcrossPageBoundaries hammers random sparse indices
-// clustered around shadow page boundaries — the indices most likely to
-// expose page-clipping or directory-indexing bugs — and checks that the
-// paged shadow and the flat ablation report identical race sets.
+// TestPagedFlatAgreeAcrossPageBoundaries hammers random sparse
+// indices clustered around shadow page boundaries — the indices most
+// likely to expose page-clipping or directory-indexing bugs — and checks
+// that the paged shadow flags exactly the racy locations the oracle finds
+// in its flat access logs.
 func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 	const (
 		elems  = 3*shadow.PageSize + 7 // four pages, short last page
@@ -80,15 +93,9 @@ func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 				scripts[ti] = append(scripts[ti], acc{idx: idx, write: rng.Intn(3) == 0})
 			}
 		}
-		run := func(opt core.Options) map[string]bool {
-			sink := detect.NewSink(false, 0)
-			d := core.NewWith(sink, opt)
-			rt, err := task.New(task.Config{Executor: task.Sequential, Detector: d})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := d.NewShadow(detect.Spec("v", elems, 8))
-			if err := rt.Run(func(c *task.Ctx) {
+		paged, oracle := pagedAndOracle(t, func(rt *task.Runtime, det detect.Detector) error {
+			sh := det.NewShadow(detect.Spec("v", elems, 8))
+			return rt.Run(func(c *task.Ctx) {
 				c.Finish(func(c *task.Ctx) {
 					for _, s := range scripts {
 						s := s
@@ -103,22 +110,13 @@ func TestPagedFlatAgreeAcrossPageBoundaries(t *testing.T) {
 						})
 					}
 				})
-			}); err != nil {
-				t.Fatal(err)
-			}
-			set := map[string]bool{}
-			for _, r := range sink.Races() {
-				set[fmt.Sprintf("%s[%d]:%v", r.Region, r.Index, r.Kind)] = true
-			}
-			return set
-		}
-		paged := run(core.Options{Sync: core.SyncCAS})
-		flat := run(core.Options{Sync: core.SyncCAS, FlatShadow: true})
-		if len(paged) != len(flat) {
-			t.Fatalf("trial %d: paged %v != flat %v", trial, paged, flat)
+			})
+		})
+		if len(paged) != len(oracle) {
+			t.Fatalf("trial %d: paged %v != oracle %v", trial, paged, oracle)
 		}
 		for k := range paged {
-			if !flat[k] {
+			if !oracle[k] {
 				t.Fatalf("trial %d: race %s reported by paged only", trial, k)
 			}
 		}

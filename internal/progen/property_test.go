@@ -59,14 +59,9 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 		for _, opt := range []core.Options{
 			{Sync: core.SyncCAS},
 			{Sync: core.SyncMutex},
-			{Sync: core.SyncCAS, StepCache: true},
-			{Sync: core.SyncMutex, StepCache: true},
-			// DMHP fast-path ablations: the pointer walk, the
-			// fingerprint path, and the per-task memo must all
-			// yield the oracle's verdict.
-			{Sync: core.SyncCAS, NoFingerprint: true, NoDMHPMemo: true},
-			{Sync: core.SyncCAS, NoDMHPMemo: true},
-			{Sync: core.SyncCAS, NoFingerprint: true},
+			// The §5.2 pointer walk must yield the same verdict
+			// as the default fingerprint fast path with its memo.
+			{Sync: core.SyncCAS, WalkDMHP: true},
 		} {
 			sink := detect.NewSink(false, 0)
 			got := verdict(t, p, core.NewWith(sink, opt), sink, task.Sequential, 1)

@@ -65,14 +65,11 @@ const (
 	// fingerprints without touching the tree.
 	DMHPFast
 	// DMHPWalk counts DMHP/LCA queries that fell back to (or were
-	// pinned to, under the walk-only ablation) the §5.2 pointer walk.
+	// pinned to, under the WalkDMHP reference configuration) the §5.2 pointer walk.
 	DMHPWalk
 	// DMHPMemoHit counts DMHP queries answered from the per-task
 	// relation memo without recomputing.
 	DMHPMemoHit
-	// StepCacheHit counts accesses short-circuited by the per-step
-	// redundant-check cache (the opt-in §5.5-style optimization).
-	StepCacheHit
 	// TaskSpawn counts spawned tasks (every Async).
 	TaskSpawn
 	// TaskSteal counts tasks obtained by stealing from another pool
@@ -208,7 +205,6 @@ var counterNames = [NumCounters]string{
 	DMHPFast:             "dmhp.fast",
 	DMHPWalk:             "dmhp.walk",
 	DMHPMemoHit:          "dmhp.memo_hit",
-	StepCacheHit:         "stepcache.hit",
 	TaskSpawn:            "task.spawn",
 	TaskSteal:            "task.steal",
 	TaskInline:           "task.inline",
