@@ -16,7 +16,6 @@ func factory(o Options) detect.Factory {
 	return func(fo detect.FactoryOpts) detect.Detector {
 		o := o
 		o.Stats = fo.Stats
-		o.Sampler = fo.Sampler
 		return NewWith(fo.Sink, o)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"spd3/internal/core"
 	"spd3/internal/detect"
-	_ "spd3/internal/fasttrack" // registry entry for the wrap test
 	"spd3/internal/progen"
 	"spd3/internal/sample"
 	"spd3/internal/stats"
@@ -97,33 +95,6 @@ func TestSampledRacesAreSubset(t *testing.T) {
 	}
 }
 
-// TestSPD3NotWrapped: core implements NativeSampler, so the registry
-// must hand back the detector itself — the gate sits inside the shadow
-// protocols, not in a generic wrapper that would double-count.
-func TestSPD3NotWrapped(t *testing.T) {
-	smp := sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 0.5})
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: detect.NewSink(false, 0), Sampler: smp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := det.(*core.Detector); !ok {
-		t.Fatalf("sampled spd3 detector is %T, want *core.Detector (native sampling)", det)
-	}
-
-	// A detector without native support must get the generic wrapper.
-	plain, err := detect.New("fasttrack", detect.FactoryOpts{Sink: detect.NewSink(false, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := detect.New("fasttrack", detect.FactoryOpts{Sink: detect.NewSink(false, 0), Sampler: smp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.TypeOf(plain) == reflect.TypeOf(wrapped) {
-		t.Fatalf("sampled fasttrack detector is still %T; want the sampling wrapper", wrapped)
-	}
-}
-
 // TestBurstCatchesPrologueRace: every task's first step is always
 // inside the burst window, so a race between the first steps of two
 // sibling tasks is caught at any rate — the determinism CI's sampled
@@ -152,8 +123,8 @@ func TestBurstCatchesPrologueRace(t *testing.T) {
 	}
 }
 
-// TestSampleCountersFlow: the native gate batches per task and flushes
-// into the engine's stats shards — sample.checked/sample.skipped must
+// TestSampleCountersFlow: the gate batches per task and flushes into
+// the engine's stats shards — sample.checked/sample.skipped must
 // be visible in a snapshot exactly when sampling is on.
 func TestSampleCountersFlow(t *testing.T) {
 	run := func(smp *sample.Sampler) stats.Snapshot {
@@ -182,5 +153,35 @@ func TestSampleCountersFlow(t *testing.T) {
 	snap = run(nil)
 	if n := snap.Get(stats.SampleChecked) + snap.Get(stats.SampleSkipped); n != 0 {
 		t.Errorf("sampling off: %d sample.* tallies recorded, want 0", n)
+	}
+}
+
+// TestHaltModeTalliesOnlyRunChecks: once a halt-mode sink has recorded
+// its race, SPD3 runs no further checks, so the gate must stop counting
+// admissions too. At bernoulli:1 every admitted access is one CAS-path
+// check, so sample.checked must equal cas.clean + cas.publish.
+func TestHaltModeTalliesOnlyRunChecks(t *testing.T) {
+	smp := sample.New(sample.Config{Mode: sample.Bernoulli, Rate: 1})
+	for seed := int64(0); seed < diffSeeds; seed++ {
+		rec := stats.New(0)
+		sink := detect.NewSink(true, 0)
+		sink.SetStats(rec.Shard(0))
+		det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := task.New(task.Config{Executor: task.Sequential, Workers: 1, Detector: det, Stats: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
+			t.Fatal(err)
+		}
+		snap := rec.Snapshot()
+		checked := snap.Get(stats.SampleChecked)
+		if ran := snap.Get(stats.CASClean) + snap.Get(stats.CASPublish); checked != ran {
+			t.Fatalf("seed %d (racy=%v): sample.checked = %d, want cas.clean + cas.publish = %d",
+				seed, !sink.Empty(), checked, ran)
+		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 // through the accessing task's page cache.
 type casShadow struct {
 	d     *Detector
-	id    uint64
 	name  string
 	pages *shadow.Pages[casCell]
 }
@@ -82,13 +81,6 @@ func (s *casShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
 	c := s.pages.CellOf(&t.PC, i)
 	var retries int64
 	for {
@@ -116,13 +108,6 @@ func (s *casShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
 	c := s.pages.CellOf(&t.PC, i)
 	var retries int64
 	for {

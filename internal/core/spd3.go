@@ -37,7 +37,6 @@ import (
 
 	"spd3/internal/detect"
 	"spd3/internal/dpst"
-	"spd3/internal/sample"
 	"spd3/internal/shadow"
 	"spd3/internal/stats"
 )
@@ -75,13 +74,6 @@ type Options struct {
 	// (see taskState.flush), so the steady-state cost per event is one
 	// non-atomic increment.
 	Stats *stats.Recorder
-	// Sampler, when enabled, gates each access's race check
-	// (internal/sample). The gate sits after the sink short-circuit
-	// and before the shadow cell is even resolved, so a
-	// sampled-out access costs one predictable branch plus (for burst
-	// mode) a cached per-task decision read. Nil or Off means every
-	// check runs — the default, byte-identical to the ungated detector.
-	Sampler *sample.Sampler
 }
 
 // Detector is the SPD3 race detector. Create with New; wire into a
@@ -92,9 +84,7 @@ type Detector struct {
 	mode SyncMode
 	walk bool // Options.WalkDMHP
 	st   *stats.Recorder
-	smp  *sample.Sampler // nil when sampling is off
 
-	shadowIDs   detect.Counter
 	shadowBytes detect.Counter
 }
 
@@ -106,23 +96,14 @@ func New(sink *detect.Sink, mode SyncMode) *Detector {
 
 // NewWith returns an SPD3 detector with explicit options.
 func NewWith(sink *detect.Sink, o Options) *Detector {
-	d := &Detector{
+	return &Detector{
 		sink: sink,
 		tree: dpst.New(),
 		mode: o.Sync,
 		walk: o.WalkDMHP,
 		st:   o.Stats,
 	}
-	if o.Sampler.Enabled() {
-		d.smp = o.Sampler
-	}
-	return d
 }
-
-// NativeSampling implements detect.NativeSampler: SPD3 consumes
-// FactoryOpts.Sampler itself (see Options.Sampler), so the registry
-// must not wrap it with the generic gate.
-func (d *Detector) NativeSampling() bool { return true }
 
 // Tree exposes the DPST (for tests and tooling).
 func (d *Detector) Tree() *dpst.Tree { return d.tree }
@@ -157,12 +138,6 @@ type taskState struct {
 	scope *dpst.Node
 	mhp   [mhpMemoSize]mhpEntry
 
-	// smp is the task's check-sampling state: the cached burst-window
-	// decision word (recomputed once per step advance, so the
-	// sampled-out path is a predictable branch) plus the batched
-	// admit/skip tallies, flushed with the rest.
-	smp sample.TaskState
-
 	sh           *stats.Shard
 	nCASClean    int64
 	nCASPublish  int64
@@ -187,7 +162,6 @@ func (ts *taskState) flush() {
 	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
 	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
 	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
-	ts.smp.Flush(ts.sh)
 	for b, n := range ts.retryBuckets {
 		ts.sh.AddBucket(stats.HistCASRetry, b, n)
 	}
@@ -277,7 +251,6 @@ func (d *Detector) MainTask(t *detect.Task, implicit *detect.Finish) {
 	run := d.tree.NewChild(d.tree.Root(), dpst.FinishNode)
 	step := d.tree.NewChild(run, dpst.StepNode)
 	ts := &taskState{step: step, scope: run, sh: d.st.Shard(int(t.ID))}
-	d.smp.Step(&ts.smp)
 	t.State = ts
 	implicit.State = &finishState{node: run}
 }
@@ -292,10 +265,8 @@ func (d *Detector) BeforeSpawn(parent, child *detect.Task) {
 	a := d.tree.NewChild(ps.scope, dpst.AsyncNode)
 	childStep := d.tree.NewChild(a, dpst.StepNode)
 	cs := &taskState{step: childStep, scope: a, sh: d.st.Shard(int(child.ID))}
-	d.smp.Step(&cs.smp)
 	child.State = cs
 	ps.step = d.tree.NewChild(ps.scope, dpst.StepNode)
-	d.smp.Step(&ps.smp)
 }
 
 // TaskEnd has no DPST effect (the join is represented by the finish
@@ -313,7 +284,6 @@ func (d *Detector) FinishStart(t *detect.Task, f *detect.Finish) {
 	f.State = &finishState{node: fn, prevScope: ts.scope}
 	ts.scope = fn
 	ts.step = d.tree.NewChild(fn, dpst.StepNode)
-	d.smp.Step(&ts.smp)
 }
 
 // FinishEnd implements §3.1 "End Finish": restore the scope and add a
@@ -331,7 +301,6 @@ func (d *Detector) FinishEnd(t *detect.Task, f *detect.Finish) {
 	ts := t.State.(*taskState)
 	ts.scope = fs.prevScope
 	ts.step = d.tree.NewChild(fs.prevScope, dpst.StepNode)
-	d.smp.Step(&ts.smp)
 }
 
 // Acquire is a no-op: SPD3 targets lock-free async/finish programs (§2).
@@ -353,14 +322,13 @@ func (d *Detector) Footprint() detect.Footprint {
 // lazily allocated pages (shadow.Pages), so a sparsely touched region
 // pays only for the pages it touches.
 func (d *Detector) NewShadow(spec detect.ShadowSpec) detect.Shadow {
-	id := uint64(d.shadowIDs.Add(1))
 	switch d.mode {
 	case SyncMutex:
-		s := &mutexShadow{d: d, id: id, name: spec.Name, pages: shadow.New[mutexCell](spec.Bound())}
+		s := &mutexShadow{d: d, name: spec.Name, pages: shadow.New[mutexCell](spec.Bound())}
 		s.pages.SetOnAlloc(d.pageAlloc(mutexCellBytes))
 		return s
 	default:
-		s := &casShadow{d: d, id: id, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
+		s := &casShadow{d: d, name: spec.Name, pages: shadow.New[casCell](spec.Bound())}
 		s.pages.SetOnAlloc(d.pageAlloc(casCellBytes))
 		return s
 	}
@@ -490,7 +458,6 @@ const mutexCellBytes = 8 + 24 // sync.Mutex + three pointers
 
 type mutexShadow struct {
 	d     *Detector
-	id    uint64
 	name  string
 	pages *shadow.Pages[mutexCell]
 }
@@ -504,13 +471,6 @@ func (s *mutexShadow) ReadAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
 	ts.nMutexOps++
 	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()
@@ -526,13 +486,6 @@ func (s *mutexShadow) WriteAt(t *detect.Task, i int, site uintptr) {
 		return
 	}
 	ts := t.State.(*taskState)
-	if sp := s.d.smp; sp != nil {
-		if !sp.Admit(&ts.smp, s.id, i) {
-			ts.smp.Skipped++
-			return
-		}
-		ts.smp.Checked++
-	}
 	ts.nMutexOps++
 	c := s.pages.CellOf(&t.PC, i)
 	c.mu.Lock()

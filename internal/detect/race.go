@@ -147,8 +147,8 @@ func (s *Sink) Report(r Race) bool {
 // Stopped reports whether a halt-mode sink has already recorded a race.
 // Detectors consult it on their hot paths to stop checking, emulating the
 // paper's "report a race and halt" semantics without cancelling the
-// program's execution.
-func (s *Sink) Stopped() bool { return s.stopped.Load() }
+// program's execution. A nil sink never stops.
+func (s *Sink) Stopped() bool { return s != nil && s.stopped.Load() }
 
 // Mark returns a cursor for RacesSince: races recorded so far.
 func (s *Sink) Mark() int {

@@ -5,23 +5,15 @@ import (
 	"spd3/internal/stats"
 )
 
-// NativeSampler is implemented by detectors that gate their own check
-// path with the FactoryOpts.Sampler handed to their factory (SPD3 does,
-// folding the gate into its batched taskState hot path). The registry
-// wraps every other detector with the generic shadow-gating wrapper
-// below, so sampling composes with all five algorithms without each
-// re-implementing it — and never double-gates the natives.
-type NativeSampler interface {
-	NativeSampling() bool
-}
-
-// wrapSampled gates d's shadows behind smp. The wrapper preserves the
-// inner detector's optional interfaces: SiteShadow on a per-shadow
-// basis, BarrierObserver on the detector itself (losing it would change
-// FastTrack's verdict on barrier-phased programs, which sampling must
-// never do).
-func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector {
-	sd := &sampledDetector{inner: d, smp: smp, rec: rec}
+// wrapSampled gates d's shadows behind smp. It is the only sampling
+// gate: New applies it to every detector, so no algorithm re-implements
+// it. The wrapper preserves the inner detector's optional interfaces:
+// SiteShadow on a per-shadow basis, BarrierObserver on the detector
+// itself (losing it would change FastTrack's verdict on barrier-phased
+// programs, which sampling must never do). sink may be nil (Describe
+// builds detectors without one).
+func wrapSampled(d Detector, smp *sample.Sampler, sink *Sink, rec *stats.Recorder) Detector {
+	sd := &sampledDetector{inner: d, sampler: smp, sink: sink, rec: rec}
 	if bo, ok := d.(BarrierObserver); ok {
 		return &sampledBarrierDetector{sampledDetector: sd, bo: bo}
 	}
@@ -33,23 +25,29 @@ func wrapSampled(d Detector, smp *sample.Sampler, rec *stats.Recorder) Detector 
 // lock state, only which accesses are checked), shadows are gated, and
 // the per-task admit/skip tallies batched in Task.Sample are flushed
 // into the stats shards at task end.
+//
+// Step epochs follow the paper's step definition (§3.1): a task's
+// first step starts at MainTask or at its spawn, and a step ends at
+// every spawn (in the parent), finish start and finish end.
 type sampledDetector struct {
-	inner Detector
-	smp   *sample.Sampler
-	rec   *stats.Recorder
-	ids   Counter
+	inner   Detector
+	sampler *sample.Sampler
+	sink    *Sink
+	rec     *stats.Recorder
+	ids     Counter
 }
 
 func (d *sampledDetector) Name() string             { return d.inner.Name() }
 func (d *sampledDetector) RequiresSequential() bool { return d.inner.RequiresSequential() }
 
 func (d *sampledDetector) MainTask(t *Task, implicit *Finish) {
-	d.smp.Step(&t.Sample)
+	d.sampler.Step(&t.Sample)
 	d.inner.MainTask(t, implicit)
 }
 
 func (d *sampledDetector) BeforeSpawn(parent, child *Task) {
-	d.smp.Step(&child.Sample)
+	d.sampler.Step(&child.Sample)
+	d.sampler.Step(&parent.Sample)
 	d.inner.BeforeSpawn(parent, child)
 }
 
@@ -58,16 +56,13 @@ func (d *sampledDetector) TaskEnd(t *Task) {
 	d.inner.TaskEnd(t)
 }
 
-// FinishStart and FinishEnd advance the burst epoch: detectors without
-// a step notion still get "one span out of N" sampling at finish-scope
-// granularity, the closest structural analogue.
 func (d *sampledDetector) FinishStart(t *Task, f *Finish) {
-	d.smp.Step(&t.Sample)
+	d.sampler.Step(&t.Sample)
 	d.inner.FinishStart(t, f)
 }
 
 func (d *sampledDetector) FinishEnd(t *Task, f *Finish) {
-	d.smp.Step(&t.Sample)
+	d.sampler.Step(&t.Sample)
 	d.inner.FinishEnd(t, f)
 	// The main task gets no TaskEnd (executors call its body directly);
 	// flushing after every finish end keeps its tallies from being lost.
@@ -108,8 +103,13 @@ type sampledShadow struct {
 	inner Shadow
 }
 
+// admit gates one check. Once the sink has stopped (halt mode after the
+// first race) no inner check runs, so none is tallied either.
 func (s *sampledShadow) admit(t *Task, i int) bool {
-	if !s.d.smp.Admit(&t.Sample, s.id, i) {
+	if s.d.sink.Stopped() {
+		return false
+	}
+	if !s.d.sampler.Admit(&t.Sample, s.id, i) {
 		t.Sample.Skipped++
 		return false
 	}

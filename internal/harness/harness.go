@@ -2,8 +2,9 @@
 // evaluation (§6) on the Go reproduction: Figure 3 (SPD3 scalability),
 // Figure 4 (ESP-bags vs SPD3), Table 2 (Eraser/FastTrack/SPD3 slowdown),
 // Table 3 (memory), Figure 5 (Crypt scaling), Figure 6 (LUFact memory),
-// plus Table 1 (the suite) and two ablations (§5.4 shadow-word
-// synchronization, §5.5-style dynamic check caching).
+// plus Table 1 (the suite), three ablations (§5.4 shadow-word
+// synchronization, the DMHP fast path, check sampling), the per-benchmark
+// counter profile and the sparse-shadow footprint.
 //
 // Methodology follows the paper where the substrate allows: the reported
 // time for each configuration is the smallest of cfg.Repeats runs (§6:
@@ -43,10 +44,6 @@ type Config struct {
 	// best run of every measurement (cmd/experiments -stats collects
 	// these into a JSON document).
 	OnStats func(benchmark string, tool Tool, workers int, s stats.Snapshot)
-	// OnMeasure, when non-nil, receives every best-of-repeats
-	// measurement (cmd/experiments -json collects these into the
-	// BENCH_<n>.json benchmark artifact).
-	OnMeasure func(benchmark string, tool Tool, workers int, m Measurement)
 }
 
 func (c Config) withDefaults() Config {
@@ -165,9 +162,6 @@ func (c Config) measure(b *bench.Benchmark, tool Tool, workers int, in bench.Inp
 	}
 	if c.OnStats != nil {
 		c.OnStats(b.Name, tool, workers, best.Stats)
-	}
-	if c.OnMeasure != nil {
-		c.OnMeasure(b.Name, tool, workers, best)
 	}
 	return best, nil
 }

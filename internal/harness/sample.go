@@ -159,34 +159,40 @@ func progenCorpus(racySeeds []int64, name string, mk func(seed int64) *sample.Sa
 	var total time.Duration
 	var agg stats.Snapshot
 	for _, seed := range racySeeds {
-		sink := detect.NewSink(false, 0)
-		rec := stats.New(0)
-		sink.SetStats(rec.Shard(0))
 		var smp *sample.Sampler
 		if mk != nil {
 			smp = mk(seed)
 		}
-		det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
-		if err != nil {
-			panic(err)
-		}
-		rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: det, Stats: rec})
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
-			panic(err)
-		}
-		elapsed := time.Since(start)
+		elapsed, snap, _ := runProgen(seed, name, smp)
 		total += elapsed
-		snap := rec.Snapshot()
 		if gov != nil {
 			gov.ObserveSnapshot(snap, elapsed)
 		}
 		agg.Merge(snap)
 	}
 	return total, agg
+}
+
+// runProgen executes generated program seed under the named detector
+// (sampled when smp is non-nil) on a 2-worker pool, returning the wall
+// clock, the stats snapshot and whether any race was detected.
+func runProgen(seed int64, name string, smp *sample.Sampler) (time.Duration, stats.Snapshot, bool) {
+	sink := detect.NewSink(false, 0)
+	rec := stats.New(0)
+	sink.SetStats(rec.Shard(0))
+	det, err := detect.New(name, detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
+	if err != nil {
+		panic(err)
+	}
+	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: det, Stats: rec})
+	if err != nil {
+		panic(err)
+	}
+	start := time.Now()
+	if err := progen.Run(rt, progen.Generate(seed, progen.Config{}), nil); err != nil {
+		panic(err)
+	}
+	return time.Since(start), rec.Snapshot(), !sink.Empty()
 }
 
 // measureSampled measures SPD3 gated behind a fresh fixed-rate sampler
@@ -266,13 +272,13 @@ func checkedFrac(s stats.Snapshot) float64 {
 // the seeds whose programs are racy — the detection-probability
 // denominator.
 func racyProgenSeeds() []int64 {
-	var racy []int64
+	var seeds []int64
 	for seed := int64(0); seed < sampleSeeds; seed++ {
-		if progenRacy(seed, nil) {
-			racy = append(racy, seed)
+		if _, _, racy := runProgen(seed, "spd3", nil); racy {
+			seeds = append(seeds, seed)
 		}
 	}
-	return racy
+	return seeds
 }
 
 // detectProb runs each racy seed under a sampler built by mk (nil means
@@ -294,30 +300,9 @@ func detectProb(racySeeds []int64, mk func(seed int64) *sample.Sampler) float64 
 		if mk != nil {
 			smp = mk(seed)
 		}
-		if progenRacy(seed, smp) {
+		if _, _, racy := runProgen(seed, "spd3", smp); racy {
 			hits++
 		}
 	}
 	return float64(hits) / float64(len(racySeeds))
-}
-
-// progenRacy executes generated program seed under SPD3 (sampled when
-// smp is non-nil) and reports whether any race was detected.
-func progenRacy(seed int64, smp *sample.Sampler) bool {
-	sink := detect.NewSink(false, 0)
-	rec := stats.New(0)
-	sink.SetStats(rec.Shard(0))
-	det, err := detect.New("spd3", detect.FactoryOpts{Sink: sink, Stats: rec, Sampler: smp})
-	if err != nil {
-		panic(err)
-	}
-	rt, err := task.New(task.Config{Executor: task.Pool, Workers: 2, Detector: det})
-	if err != nil {
-		panic(err)
-	}
-	p := progen.Generate(seed, progen.Config{})
-	if err := progen.Run(rt, p, nil); err != nil {
-		panic(err)
-	}
-	return len(sink.Races()) > 0
 }

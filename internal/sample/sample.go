@@ -172,9 +172,8 @@ func (r *Rate) load16() int64 { return r.v.Load() }
 // that one decision covers one hot span.
 const pageShift = 6
 
-// TaskState is per-task sampling state, embedded in the per-task record
-// of whichever layer gates checks (core's taskState natively; the
-// registry's generic wrapper uses detect.Task.Sample). It caches the
+// TaskState is per-task sampling state, held in detect.Task.Sample for
+// the registry's sampling wrapper. It caches the
 // current burst-window decision and a one-entry location-coin memo so
 // the sampled-out path is a predictable compare-and-branch, and batches
 // the admit/skip tallies in plain task-owned integers.
@@ -185,8 +184,8 @@ type TaskState struct {
 	memoKey uint64
 	memoOK  bool
 
-	// Checked and Skipped batch the gate outcomes; the owning layer
-	// flushes them into a stats shard once per task (Flush).
+	// Checked and Skipped batch the gate outcomes; the wrapper flushes
+	// them into a stats shard at task end and finish end (Flush).
 	Checked, Skipped int64
 }
 
