@@ -108,8 +108,8 @@ func TestTaskBoundaryAllocs(t *testing.T) {
 	if got := r.AllocsPerOp(); got > 7 {
 		t.Errorf("task boundary: %d allocs/op, want <= 7", got)
 	}
-	if got := r.AllocedBytesPerOp(); got > 1280 {
-		t.Errorf("task boundary: %d B/op, want <= 1280", got)
+	if got := r.AllocedBytesPerOp(); got > 1024 {
+		t.Errorf("task boundary: %d B/op, want <= 1024", got)
 	}
 }
 

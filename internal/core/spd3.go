@@ -63,10 +63,10 @@ type Options struct {
 	// Sync selects the shadow-word synchronization protocol.
 	Sync SyncMode
 	// WalkDMHP answers every DMHP/LCA query with the §5.2 pointer
-	// walk, bypassing both the packed-fingerprint fast path and the
-	// per-task relation memo (taskState.mhp). It is the paper's
-	// reference configuration (the spd3-walk variant), used by the
-	// ablation-dmhp experiment and as a differential-test oracle.
+	// walk, bypassing the per-task relation memo (taskState.mhp). It
+	// is the paper's reference configuration (the spd3-walk variant),
+	// used by the ablation-dmhp experiment and as a differential-test
+	// oracle.
 	WalkDMHP bool
 	// Stats is the engine's observability recorder; nil disables the
 	// detector's counters. The detector batches its counts in plain
@@ -143,7 +143,6 @@ type taskState struct {
 	nCASPublish  int64
 	nCASRetry    int64
 	nMutexOps    int64
-	nDMHPFast    int64
 	nDMHPWalk    int64
 	nDMHPMemoHit int64
 	retryBuckets [stats.HistBuckets]int64
@@ -159,7 +158,6 @@ func (ts *taskState) flush() {
 	ts.sh.Add(stats.CASPublish, ts.nCASPublish)
 	ts.sh.Add(stats.CASRetry, ts.nCASRetry)
 	ts.sh.Add(stats.MutexOps, ts.nMutexOps)
-	ts.sh.Add(stats.DMHPFast, ts.nDMHPFast)
 	ts.sh.Add(stats.DMHPWalk, ts.nDMHPWalk)
 	ts.sh.Add(stats.DMHPMemoHit, ts.nDMHPMemoHit)
 	for b, n := range ts.retryBuckets {
@@ -167,7 +165,7 @@ func (ts *taskState) flush() {
 	}
 	ts.nCASClean, ts.nCASPublish, ts.nCASRetry = 0, 0, 0
 	ts.nMutexOps = 0
-	ts.nDMHPFast, ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0, 0
+	ts.nDMHPWalk, ts.nDMHPMemoHit = 0, 0
 	ts.retryBuckets = [stats.HistBuckets]int64{}
 }
 
@@ -205,32 +203,22 @@ func (d *Detector) relation(ts *taskState, other *dpst.Node) (parallel bool, lca
 		return false, -1
 	}
 	if d.walk {
-		ts.nDMHPWalk++
-		return dpst.RelationWalk(other, ts.step)
+		return ts.walkRelation(other, ts.step)
 	}
 	e := &ts.mhp[mhpSlot(other)]
 	if e.other == other && e.step == ts.step {
 		ts.nDMHPMemoHit++
 		return e.parallel, e.lcaDepth
 	}
-	p, l := d.rel(ts, other, ts.step)
+	p, l := ts.walkRelation(other, ts.step)
 	*e = mhpEntry{other: other, step: ts.step, parallel: p, lcaDepth: l}
 	return p, l
 }
 
-// rel answers one Relation query through the fingerprint fast path or,
-// under WalkDMHP, the §5.2 pointer walk, attributing the query to ts's
-// fast/walk counters.
-func (d *Detector) rel(ts *taskState, a, b *dpst.Node) (parallel bool, lcaDepth int32) {
-	if d.walk {
-		ts.nDMHPWalk++
-		return dpst.RelationWalk(a, b)
-	}
-	if a.FastPath() && b.FastPath() {
-		ts.nDMHPFast++
-	} else {
-		ts.nDMHPWalk++
-	}
+// walkRelation answers one Relation query with the §5.2 pointer walk
+// and counts it in ts's walk counter.
+func (ts *taskState) walkRelation(a, b *dpst.Node) (parallel bool, lcaDepth int32) {
+	ts.nDMHPWalk++
 	return dpst.Relation(a, b)
 }
 
@@ -372,8 +360,8 @@ func (d *Detector) report(kind detect.RaceKind, region string, i int, prev, cur 
 
 // writeCheck is Algorithm 1. Given a snapshot and the writing task's
 // state ts, it reports any races and returns the updated word and
-// whether the word changed. All DMHP queries go through the memoized
-// fingerprint fast path (Detector.relation).
+// whether the word changed. All DMHP queries go through the per-task
+// memo in front of the §5.2 walk (Detector.relation).
 func (d *Detector) writeCheck(m word, ts *taskState, region string, i int, site uintptr) (word, bool) {
 	s := ts.step
 	if m.w == s {
@@ -430,7 +418,7 @@ func (d *Detector) readCheck(m word, ts *taskState, region string, i int, site u
 		// LCA(r1,s) = LCA(r2,s) and replacing r1 with s lifts the
 		// subtree to cover all three. lca1s is the LCA depth the
 		// DMHP(r1,s) relation above already computed.
-		_, lca12 := d.rel(ts, m.r1, m.r2)
+		_, lca12 := ts.walkRelation(m.r1, m.r2)
 		if lca1s < lca12 {
 			m.r1 = s
 			return m, true

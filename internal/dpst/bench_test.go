@@ -4,8 +4,7 @@ import "testing"
 
 // deepPair builds two steps whose LCA is the root, depth levels above
 // them — the worst case for the §5.2 walk (it pointer-chases both full
-// root paths) and the best case for the fingerprint compare (the first
-// packed word already differs).
+// root paths).
 func deepPair(depth int) (*Node, *Node) {
 	t := New()
 	left, right := t.Root(), t.Root()
@@ -18,64 +17,24 @@ func deepPair(depth int) (*Node, *Node) {
 	return t.NewChild(left, StepNode), t.NewChild(right, StepNode)
 }
 
-// sharedPair builds two steps under a common trunk of the given depth:
-// the LCA sits just above the leaves. This is the walk's best case (two
-// hops) and the fingerprint's worst (the whole shared prefix is
-// compared word by word), so together with deepPair it brackets both
-// implementations.
-func sharedPair(depth int) (*Node, *Node) {
-	t := New()
-	trunk := t.Root()
-	for i := 0; i < depth; i++ {
-		trunk = t.NewChild(trunk, FinishNode)
-	}
-	a := t.NewChild(t.NewChild(trunk, AsyncNode), StepNode)
-	b := t.NewChild(t.NewChild(trunk, AsyncNode), StepNode)
-	return a, b
-}
-
-// overflowPair builds a deepPair whose paths start with a sibling index
-// past maxDigitSeq, so fingerprints are invalid and DMHP dispatches to
-// the pointer-walk fallback — the fallback's full cost, including the
-// validity check.
-func overflowPair(depth int) (*Node, *Node) {
-	t := New()
-	for i := 0; i <= maxDigitSeq; i++ {
-		t.NewChild(t.Root(), StepNode)
-	}
-	left, right := t.NewChild(t.Root(), AsyncNode), t.NewChild(t.Root(), FinishNode)
-	for i := 1; i < depth; i++ {
-		left = t.NewChild(left, AsyncNode)
-		right = t.NewChild(right, FinishNode)
-	}
-	return t.NewChild(left, StepNode), t.NewChild(right, StepNode)
-}
-
-// benchDepths spans the inline regime (8), a moderately deep spill
-// (64), and a very deep spill (512).
+// benchDepths spans a shallow (8), a moderately deep (64), and a very
+// deep (512) root path.
 var benchDepths = []int{8, 64, 512}
+
+// Sinks keep the measured calls' results live, so the compiler can
+// neither drop an inlined query nor keep a new node on the stack.
+var (
+	sinkNode  *Node
+	sinkBool  bool
+	sinkDepth int32
+)
 
 func BenchmarkNewChild(b *testing.B) {
 	t := New()
 	parent := t.Root()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.NewChild(parent, StepNode)
-	}
-}
-
-// BenchmarkNewChildDeep measures insertion at depth 64, where every new
-// node copies its spill words.
-func BenchmarkNewChildDeep(b *testing.B) {
-	t := New()
-	parent := t.Root()
-	for i := 0; i < 64; i++ {
-		parent = t.NewChild(parent, FinishNode)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.NewChild(parent, StepNode)
+		sinkNode = t.NewChild(parent, StepNode)
 	}
 }
 
@@ -84,60 +43,19 @@ func BenchmarkLCA(b *testing.B) {
 		s1, s2 := deepPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LCA(s1, s2)
+				sinkNode = LCA(s1, s2)
 			}
 		})
 	}
 }
 
-// BenchmarkDMHP is the fingerprint fast path (root-diverging pair).
+// BenchmarkDMHP is Algorithm 3 on a root-diverging pair.
 func BenchmarkDMHP(b *testing.B) {
 	for _, depth := range benchDepths {
 		s1, s2 := deepPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHPWalk is the §5.2 pointer walk on the same pairs: the
-// cost the fast path removes, and what overflow fallback degrades to.
-func BenchmarkDMHPWalk(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := deepPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dmhpWalk(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHPFallback routes through DMHP's public dispatch with
-// invalid fingerprints: the real price of the fallback (validity check
-// plus walk).
-func BenchmarkDMHPFallback(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := overflowPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
-			}
-		})
-	}
-}
-
-// BenchmarkDMHPSharedPrefix is the fingerprint path's worst shape: a
-// deep common trunk scanned word by word, where the walk would need
-// only two hops.
-func BenchmarkDMHPSharedPrefix(b *testing.B) {
-	for _, depth := range benchDepths {
-		s1, s2 := sharedPair(depth)
-		b.Run(itoa(depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				DMHP(s1, s2)
+				sinkBool = DMHP(s1, s2)
 			}
 		})
 	}
@@ -150,7 +68,7 @@ func BenchmarkRelation(b *testing.B) {
 		s1, s2 := deepPair(depth)
 		b.Run(itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Relation(s1, s2)
+				sinkBool, sinkDepth = Relation(s1, s2)
 			}
 		})
 	}

@@ -72,21 +72,13 @@ type Node struct {
 	nchildren int32
 
 	ID int64 // unique per tree, in creation order; for reports
-
-	// fp is the packed root-path fingerprint enabling near-O(1)
-	// DMHP/LCA-depth queries (see fingerprint.go). Immutable after
-	// creation, like every other field.
-	fp fingerprint
 }
 
 // NodeBytes is the heap size of one Node, used for the analytic
-// footprint accounting that reproduces the paper's Table 3: the
-// original fields (32 bytes with padding — nchildren sits in Kind's
-// padding hole) plus the 40-byte inline fingerprint (two packed words
-// and the spill slice header; invalidity is a w0 sentinel, not a
-// flag). Spill backing arrays, allocated only past depth 8, are
-// accounted separately by Tree.Bytes.
-const NodeBytes = 32 + 16 + 24 // fields ≈ 32 + w0/w1 + spill slice header
+// footprint accounting that reproduces the paper's Table 3: a parent
+// pointer, depth, seq, kind and ID — 32 bytes with padding, because
+// nchildren sits in Kind's padding hole.
+const NodeBytes = 32
 
 // String renders a node as e.g. "step#17" for race reports.
 func (n *Node) String() string {
@@ -99,10 +91,9 @@ func (n *Node) String() string {
 // Tree is a DPST under construction. The zero value is not usable; call
 // New.
 type Tree struct {
-	root       *Node
-	ids        atomic.Int64
-	count      atomic.Int64
-	spillWords atomic.Int64 // fingerprint spill words, for Bytes
+	root  *Node
+	ids   atomic.Int64
+	count atomic.Int64
 }
 
 // New creates a tree containing only the root finish node, which
@@ -121,9 +112,8 @@ func (t *Tree) Root() *Node { return t.root }
 // Len returns the number of nodes created so far.
 func (t *Tree) Len() int64 { return t.count.Load() }
 
-// Bytes returns the analytic size of the tree in bytes, including the
-// fingerprint spill words of nodes deeper than the inline threshold.
-func (t *Tree) Bytes() int64 { return t.count.Load()*NodeBytes + t.spillWords.Load()*8 }
+// Bytes returns the analytic size of the tree in bytes.
+func (t *Tree) Bytes() int64 { return t.count.Load() * NodeBytes }
 
 // NewChild appends a new rightmost child of parent and returns it.
 // It takes O(1) time and, per the ownership discipline described in the
@@ -137,19 +127,12 @@ func (t *Tree) NewChild(parent *Node, kind Kind) *Node {
 		Seq:    parent.nchildren,
 		Kind:   kind,
 		ID:     t.ids.Add(1) - 1,
-		fp:     parent.fp.extend(parent.Depth+1, parent.nchildren, kind),
 	}
 	t.count.Add(1)
-	if w := n.fp.spillWords(); w > 0 {
-		t.spillWords.Add(w)
-	}
 	return n
 }
 
-// LCA returns the least common ancestor of a and b (§5.2). With valid
-// fingerprints the LCA depth comes from the packed-word comparison and
-// only the parent hops up to that depth remain; otherwise the full
-// lock-step walk runs.
+// LCA returns the least common ancestor of a and b (§5.2).
 func LCA(a, b *Node) *Node {
 	lca, _, _ := Relate(a, b)
 	return lca
@@ -160,30 +143,12 @@ func LCA(a, b *Node) *Node {
 // a that is a direct child of the LCA, and likewise childB). If one node
 // is an ancestor of the other (possible only when a non-leaf is passed),
 // the corresponding child is nil. Relate(a, a) returns (a, nil, nil).
+//
+// This is the §5.2 walk: walk the deeper node up to the shallower node's
+// depth, then walk both up in lock step until they meet. Cost is linear
+// in the longer root path; the detector puts a per-task memo in front of
+// it (core.Detector.relation).
 func Relate(a, b *Node) (lca, childA, childB *Node) {
-	if a == nil || b == nil {
-		return nil, nil, nil
-	}
-	if a.fp.valid() && b.fp.valid() {
-		d, _, _ := fpRelate(a, b)
-		for a.Depth > d {
-			childA, a = a, a.Parent
-		}
-		for b.Depth > d {
-			childB, b = b, b.Parent
-		}
-		return a, childA, childB
-	}
-	return relateWalk(a, b)
-}
-
-// relateWalk is the §5.2 reference implementation of Relate: walk the
-// deeper node up to the shallower node's depth, then walk both up in
-// lock step until they meet. Cost is linear in the longer root path. It
-// is the always-correct fallback for nodes whose fingerprints
-// overflowed, and the oracle the fingerprint path is differentially
-// tested against.
-func relateWalk(a, b *Node) (lca, childA, childB *Node) {
 	if a == nil || b == nil {
 		return nil, nil, nil
 	}
@@ -207,11 +172,7 @@ func LeftOf(a, b *Node) bool {
 	if a == nil || b == nil || a == b {
 		return false
 	}
-	if a.fp.valid() && b.fp.valid() {
-		_, da, db := fpRelate(a, b)
-		return da != 0 && db != 0 && digitSeq(da) < digitSeq(db)
-	}
-	_, ca, cb := relateWalk(a, b)
+	_, ca, cb := Relate(a, b)
 	return ca != nil && cb != nil && ca.Seq < cb.Seq
 }
 
@@ -221,72 +182,21 @@ func LeftOf(a, b *Node) bool {
 // never runs in parallel with itself, and nil (no recorded access) is in
 // parallel with nothing.
 func DMHP(s1, s2 *Node) bool {
-	if s1 == nil || s2 == nil || s1 == s2 {
-		return false
-	}
-	if s1.fp.valid() && s2.fp.valid() {
-		_, d1, d2 := fpRelate(s1, s2)
-		return digitsParallel(d1, d2)
-	}
-	return dmhpWalk(s1, s2)
+	p, _ := Relation(s1, s2)
+	return p
 }
 
-// dmhpWalk is Algorithm 3 over the pointer walk; the fallback and
-// differential reference for DMHP.
-func dmhpWalk(s1, s2 *Node) bool {
-	if s1 == nil || s2 == nil || s1 == s2 {
-		return false
-	}
-	_, c1, c2 := relateWalk(s1, s2)
-	if c1 == nil || c2 == nil {
-		// One is an ancestor of the other; cannot happen for two
-		// distinct leaves, but be defensive for interior nodes.
-		return false
-	}
-	if c1.Seq < c2.Seq {
-		return c1.Kind == AsyncNode
-	}
-	return c2.Kind == AsyncNode
-}
-
-// Relation answers, in one query, everything the detector's read and
+// Relation answers, in one walk, everything the detector's read and
 // write checks need about a pair of nodes: whether they may happen in
-// parallel (Theorem 1) and the depth of their LCA. With valid
-// fingerprints neither answer touches the tree — this is the detector's
-// near-O(1) hot path. Relation(a, a) is (false, a.Depth); a nil operand
-// yields (false, -1).
+// parallel (Theorem 1) and the depth of their LCA. If one node is an
+// ancestor of the other (possible only for interior nodes) they are not
+// parallel. Relation(a, a) is (false, a.Depth); a nil operand yields
+// (false, -1).
 func Relation(a, b *Node) (parallel bool, lcaDepth int32) {
 	if a == nil || b == nil {
 		return false, -1
 	}
-	if a == b {
-		return false, a.Depth
-	}
-	if a.fp.valid() && b.fp.valid() {
-		d, da, db := fpRelate(a, b)
-		return digitsParallel(da, db), d
-	}
-	return RelationWalk(a, b)
-}
-
-// FastPath reports whether the node's packed fingerprint is valid — a
-// Relation query between two fast-path nodes is answered without touching
-// the tree. Exported so the detector's observability layer can attribute
-// each DMHP query to the fast path or the walk.
-func (n *Node) FastPath() bool { return n.fp.valid() }
-
-// RelationWalk answers Relation via the §5.2 pointer walk regardless of
-// fingerprint validity; exported so the detector's walk-only ablation
-// and the differential tests can pin the two implementations against
-// each other.
-func RelationWalk(a, b *Node) (parallel bool, lcaDepth int32) {
-	if a == nil || b == nil {
-		return false, -1
-	}
-	if a == b {
-		return false, a.Depth
-	}
-	lca, ca, cb := relateWalk(a, b)
+	lca, ca, cb := Relate(a, b)
 	if ca == nil || cb == nil {
 		return false, lca.Depth
 	}

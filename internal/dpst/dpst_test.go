@@ -1,6 +1,9 @@
 package dpst
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // fig1 builds the DPST of the paper's Figure 1 example by hand:
 //
@@ -191,5 +194,9 @@ func TestBytesAccounting(t *testing.T) {
 	}
 	if got, want := tr.Bytes(), int64(10*NodeBytes); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	// NodeBytes is the 64-bit layout.
+	if got := unsafe.Sizeof(Node{}); unsafe.Sizeof(uintptr(0)) == 8 && got != NodeBytes {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d", got, NodeBytes)
 	}
 }

@@ -3,7 +3,7 @@
 // Figure 4 (ESP-bags vs SPD3), Table 2 (Eraser/FastTrack/SPD3 slowdown),
 // Table 3 (memory), Figure 5 (Crypt scaling), Figure 6 (LUFact memory),
 // plus Table 1 (the suite), three ablations (§5.4 shadow-word
-// synchronization, the DMHP fast path, check sampling), the per-benchmark
+// synchronization, the DMHP memo, check sampling), the per-benchmark
 // counter profile and the sparse-shadow footprint.
 //
 // Methodology follows the paper where the substrate allows: the reported
@@ -77,7 +77,7 @@ type Tool string
 // visible detectors or hidden ablation variants alike.
 const (
 	Base        Tool = "base"
-	SPD3        Tool = "spd3" // fingerprint fast path + per-task DMHP memo (the default)
+	SPD3        Tool = "spd3" // §5.2 walk behind the per-task DMHP memo (the default)
 	SPD3Lock    Tool = "spd3-mutex"
 	SPD3Walk    Tool = "spd3-walk"    // DMHP via the §5.2 pointer walk only (reference)
 	SPD3NoStats Tool = "spd3-nostats" // default SPD3 with the stats recorder disabled (ablation)
@@ -199,7 +199,7 @@ func Experiments() []Experiment {
 		{ID: "fig5", Title: "Figure 5: Crypt slowdown vs workers, all tools", Run: fig5},
 		{ID: "fig6", Title: "Figure 6: LUFact memory vs workers, all tools", Run: fig6},
 		{ID: "ablation-sync", Title: "§5.4 ablation: versioned-CAS vs per-word mutex", Run: ablationSync},
-		{ID: "ablation-dmhp", Title: "DMHP fast-path ablation: pointer walk vs fingerprints+memo", Run: ablationDMHP},
+		{ID: "ablation-dmhp", Title: "DMHP memo ablation: pointer walk vs walk+memo", Run: ablationDMHP},
 		{ID: "stats", Title: "Observability counters: per-benchmark SPD3 event profile", Run: statsTable},
 		{ID: "sparse", Title: "Sparse shadow: paged footprint on clustered touches", Run: sparseShadow},
 		{ID: "ablation-sample", Title: "Sampling ablation: overhead vs detection probability across modes and rates", Run: ablationSample},
@@ -477,24 +477,23 @@ func ablationSync(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ablationDMHP prices the constant-time DMHP fast path: SPD3 with the
-// §5.2 pointer walk only against the default packed path fingerprints
-// plus the per-task relation memo. Unchunked variants at the maximum
-// worker count — the fine-grained regime where DMHP dominates the
-// per-access cost.
-// Ratios below 1 mean the fast path wins over the plain walk.
+// ablationDMHP prices the per-task DMHP relation memo: SPD3 with the
+// §5.2 pointer walk only against the default walk behind the memo.
+// Unchunked variants at the maximum worker count — the fine-grained
+// regime where DMHP dominates the per-access cost.
+// Ratios below 1 mean the memo wins over the plain walk.
 func ablationDMHP(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.maxThreads()
 	t := &Table{
-		Title: fmt.Sprintf("Ablation: DMHP fast path at %d workers, time relative to pointer-walk SPD3 (<1 means the fast path wins)", n),
+		Title: fmt.Sprintf("Ablation: DMHP memo at %d workers, time relative to pointer-walk SPD3 (<1 means the memo wins)", n),
 		Notes: []string{
-			"fingerprint: packed root-path digits answer DMHP/LCA-depth without a tree walk",
+			"walk: every DMHP/LCA-depth query walks parent pointers (§5.2)",
 			"+memo: per-task direct-mapped cache of relations against recorded steps",
+			"nostats: Walk+Memo with the observability counters disabled (no stats recorder)",
 		},
-		Header: []string{"Benchmark", "Walk(s)", "Fingerprint+Memo", "NoStats"},
+		Header: []string{"Benchmark", "Walk(s)", "Walk+Memo", "NoStats"},
 	}
-	t.Notes = append(t.Notes, "nostats: Fingerprint+Memo with the observability counters disabled (Options.NoStats)")
 	in := bench.Input{Scale: cfg.Scale}
 	var memos, nostats []float64
 	for _, b := range bench.All() {
@@ -531,11 +530,11 @@ func statsTable(cfg Config) (*Table, error) {
 		Title: fmt.Sprintf("Observability counters: SPD3 at %d workers, unchunked", n),
 		Notes: []string{
 			"cas: versioned-CAS outcomes per shadow access (clean = no metadata change)",
-			"dmhp: fast = O(1) fingerprint compare, walk = §5.2 pointer walk, memo = per-task cache hit",
+			"dmhp: walk = §5.2 pointer walk (a memo miss), memo = per-task cache hit",
 			"sched: tasks acquired by spawn/inline-pop/steal; mem: instrumented reads+writes",
 		},
 		Header: []string{"Benchmark", "CASClean", "CASPublish", "CASRetry",
-			"DMHPFast", "DMHPWalk", "DMHPMemo", "Spawn", "Steal", "Reads", "Writes"},
+			"DMHPWalk", "DMHPMemo", "Spawn", "Steal", "Reads", "Writes"},
 	}
 	in := bench.Input{Scale: cfg.Scale}
 	for _, b := range bench.All() {
@@ -547,8 +546,7 @@ func statsTable(cfg Config) (*Table, error) {
 		t.AddRow(b.Name,
 			fmt.Sprint(s.Get(stats.CASClean)), fmt.Sprint(s.Get(stats.CASPublish)),
 			fmt.Sprint(s.Get(stats.CASRetry)),
-			fmt.Sprint(s.Get(stats.DMHPFast)), fmt.Sprint(s.Get(stats.DMHPWalk)),
-			fmt.Sprint(s.Get(stats.DMHPMemoHit)),
+			fmt.Sprint(s.Get(stats.DMHPWalk)), fmt.Sprint(s.Get(stats.DMHPMemoHit)),
 			fmt.Sprint(s.Get(stats.TaskSpawn)), fmt.Sprint(s.Get(stats.TaskSteal)),
 			fmt.Sprint(s.Reads), fmt.Sprint(s.Writes))
 	}

@@ -60,7 +60,7 @@ func TestSPD3SoundAndPreciseVsOracle(t *testing.T) {
 			{Sync: core.SyncCAS},
 			{Sync: core.SyncMutex},
 			// The §5.2 pointer walk must yield the same verdict
-			// as the default fingerprint fast path with its memo.
+			// as the default walk behind its memo.
 			{Sync: core.SyncCAS, WalkDMHP: true},
 		} {
 			sink := detect.NewSink(false, 0)

@@ -114,23 +114,3 @@ func TestObserveSnapshot(t *testing.T) {
 		t.Errorf("Observations = %d, want 1", got)
 	}
 }
-
-// TestGovernorWalkPenalty: a walk-heavy observation models costlier
-// checks, so it backs off where the same fast-path counts would not.
-func TestGovernorWalkPenalty(t *testing.T) {
-	base := sample.Observation{Checked: 40_000, Skipped: 0, Wall: 10 * time.Millisecond}
-
-	fast := base
-	fast.DMHPFast = 40_000
-	gf := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
-	gf.Observe(fast)
-
-	walk := base
-	walk.DMHPWalk = 40_000
-	gw := sample.NewGovernor(sample.Config{Mode: sample.Bernoulli, Rate: 1}, 0.5)
-	gw.Observe(walk)
-
-	if gw.Rate() >= gf.Rate() {
-		t.Errorf("walk-heavy rate %v not below fast-path rate %v", gw.Rate(), gf.Rate())
-	}
-}

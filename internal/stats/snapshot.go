@@ -132,8 +132,8 @@ func (s Snapshot) String() string {
 	if v := s.Get(MutexOps); v != 0 {
 		fmt.Fprintf(&b, " | mutex: %d ops", v)
 	}
-	fmt.Fprintf(&b, " | dmhp: %d fast, %d walk, %d memo-hit",
-		s.Get(DMHPFast), s.Get(DMHPWalk), s.Get(DMHPMemoHit))
+	fmt.Fprintf(&b, " | dmhp: %d walk, %d memo-hit",
+		s.Get(DMHPWalk), s.Get(DMHPMemoHit))
 	if c, k := s.Get(SampleChecked), s.Get(SampleSkipped); c != 0 || k != 0 {
 		fmt.Fprintf(&b, " | sample: %d checked, %d skipped", c, k)
 	}

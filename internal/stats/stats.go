@@ -1,7 +1,7 @@
 // Package stats is the runtime observability layer: a low-overhead,
 // shard-per-core set of counters, histograms, and per-region access
 // tallies threaded through the whole stack — the detector's shadow
-// protocol (internal/core), the DMHP fast path (internal/dpst via
+// protocol (internal/core), its DMHP queries (internal/dpst via
 // internal/core), the task runtime's executors (internal/task), the
 // instrumented containers (internal/mem), and the race sink
 // (internal/detect).
@@ -9,11 +9,10 @@
 // The paper's evaluation (§6) is entirely about measured behavior —
 // slowdowns, memory per location, scalability — and the per-benchmark
 // spread is explained by a handful of hot-path events: how often the
-// versioned-CAS shadow protocol retries, how often a DMHP query can be
-// answered from packed fingerprints versus the §5.2 pointer walk, how
-// well the per-task relation memo hits, and how work moves between
-// workers. This package makes those events visible without ad-hoc
-// printf, cheaply enough to stay on by default.
+// versioned-CAS shadow protocol retries, how often a DMHP query needs
+// the §5.2 pointer walk because the per-task relation memo missed, and
+// how work moves between workers. This package makes those events
+// visible without ad-hoc printf, cheaply enough to stay on by default.
 //
 // # Design
 //
@@ -61,11 +60,14 @@ const (
 	// MutexOps counts shadow-word accesses under the per-word mutex
 	// protocol (the §5.4 ablation detector).
 	MutexOps
-	// DMHPFast counts DMHP/LCA queries answered from packed
-	// fingerprints without touching the tree.
+	// DMHPFast has no producer and always reads 0. It counted the
+	// packed-fingerprint DMHP answers the DPST no longer has; the
+	// constant and its "dmhp.fast" wire key stay for readers of older
+	// snapshots and /statsz.
 	DMHPFast
-	// DMHPWalk counts DMHP/LCA queries that fell back to (or were
-	// pinned to, under the WalkDMHP reference configuration) the §5.2 pointer walk.
+	// DMHPWalk counts DMHP/LCA queries answered by the §5.2 pointer
+	// walk: every per-task memo miss, and every query under the
+	// WalkDMHP reference configuration.
 	DMHPWalk
 	// DMHPMemoHit counts DMHP queries answered from the per-task
 	// relation memo without recomputing.
